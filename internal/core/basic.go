@@ -24,6 +24,13 @@ func (p *Problem) PartiallyClosed(db *relation.Database) (bool, error) {
 // PartiallyClosedCtx is PartiallyClosed honoring the context's deadline
 // and cancellation; an abort surfaces as a *DeadlineError.
 func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.partiallyClosed(ctx, db)
+	return ok, c.end(ctx, err)
+}
+
+// partiallyClosed is PartiallyClosedCtx run under the call's resolved metrics.
+func (p *call) partiallyClosed(ctx context.Context, db *relation.Database) (bool, error) {
 	g := p.beginOp(ctx, "partial_closure", "check interrupted")
 	ok, err := p.satisfiesCCs(ctx, db)
 	return ok, g.wrap(err)
@@ -35,14 +42,14 @@ func (p *Problem) PartiallyClosedCtx(ctx context.Context, db *relation.Database)
 // instance are deduplicated. Enumeration stops when fn returns false.
 // The context is consulted per valuation, so a deadline interrupts the
 // enumeration itself, not just the work between candidates.
-func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
+func (p *call) forEachModel(ctx context.Context, ci *ctable.CInstance, d *domains,
 	fn func(db *relation.Database, mu ctable.Valuation) (bool, error)) error {
 	seen := map[string]bool{}
 	visit := func(mu ctable.Valuation) (bool, error) {
 		if err := ctx.Err(); err != nil {
 			return false, err
 		}
-		p.Options.Obs.Inc(obs.ValuationsEnumerated)
+		p.m.Inc(obs.ValuationsEnumerated)
 		db, err := ci.Apply(mu)
 		if err != nil {
 			return false, err
@@ -84,14 +91,14 @@ func (p *Problem) forEachModel(ctx context.Context, ci *ctable.CInstance, d *dom
 // over genErr: the sequential loop would have stopped at the decisive
 // candidate before ever reaching the enumeration failure, since the
 // generator outruns the probes only in the parallel schedule.
-func (p *Problem) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[*relation.Database] {
+func (p *call) modelCandidates(ctx context.Context, ci *ctable.CInstance, d *domains, genErr *error) search.Generator[*relation.Database] {
 	return func(yield func(*relation.Database) bool) {
 		seen := map[string]bool{}
 		visit := func(mu ctable.Valuation) (bool, error) {
 			if err := ctx.Err(); err != nil {
 				return false, err
 			}
-			p.Options.Obs.Inc(obs.ValuationsEnumerated)
+			p.m.Inc(obs.ValuationsEnumerated)
 			db, err := ci.Apply(mu)
 			if err != nil {
 				return false, err
@@ -137,6 +144,13 @@ func (p *Problem) Consistent(ci *ctable.CInstance) (bool, error) {
 // ConsistentCtx is Consistent honoring the context's deadline and
 // cancellation; an abort surfaces as a *DeadlineError.
 func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.consistent(ctx, ci)
+	return ok, c.end(ctx, err)
+}
+
+// consistent is ConsistentCtx run under the call's resolved metrics.
+func (p *call) consistent(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	ctx, endSpan := p.span(ctx, "consistency")
 	defer endSpan()
 	g := p.beginOp(ctx, "consistency", "no model found among %d candidates checked")
@@ -149,7 +163,7 @@ func (p *Problem) ConsistentCtx(ctx context.Context, ci *ctable.CInstance) (bool
 		ok, err := p.checkModel(ctx, db)
 		return struct{}{}, ok, err
 	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, g.wrap(err)
@@ -168,6 +182,13 @@ func (p *Problem) AnyModel(ci *ctable.CInstance) (*relation.Database, error) {
 
 // AnyModelCtx is AnyModel honoring the context's deadline.
 func (p *Problem) AnyModelCtx(ctx context.Context, ci *ctable.CInstance) (*relation.Database, error) {
+	c := p.begin(ctx)
+	db, err := c.anyModel(ctx, ci)
+	return db, c.end(ctx, err)
+}
+
+// anyModel is AnyModelCtx run under the call's resolved metrics.
+func (p *call) anyModel(ctx context.Context, ci *ctable.CInstance) (*relation.Database, error) {
 	g := p.beginOp(ctx, "any_model", "no model found among %d candidates checked")
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
@@ -188,6 +209,13 @@ func (p *Problem) Models(ci *ctable.CInstance, max int) ([]*relation.Database, e
 
 // ModelsCtx is Models honoring the context's deadline.
 func (p *Problem) ModelsCtx(ctx context.Context, ci *ctable.CInstance, max int) ([]*relation.Database, error) {
+	c := p.begin(ctx)
+	dbs, err := c.models(ctx, ci, max)
+	return dbs, c.end(ctx, err)
+}
+
+// models is ModelsCtx run under the call's resolved metrics.
+func (p *call) models(ctx context.Context, ci *ctable.CInstance, max int) ([]*relation.Database, error) {
 	g := p.beginOp(ctx, "models", "%d candidates checked")
 	d, err := p.domainsFor(ci, false, false)
 	if err != nil {
@@ -211,6 +239,13 @@ func (p *Problem) Extensible(db *relation.Database) (bool, error) {
 
 // ExtensibleCtx is Extensible honoring the context's deadline.
 func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.extensible(ctx, db)
+	return ok, c.end(ctx, err)
+}
+
+// extensible is ExtensibleCtx run under the call's resolved metrics.
+func (p *call) extensible(ctx context.Context, db *relation.Database) (bool, error) {
 	ctx, endSpan := p.span(ctx, "extensibility")
 	defer endSpan()
 	g := p.beginOp(ctx, "extensibility", "no admissible extension among %d candidates checked")
@@ -229,14 +264,14 @@ func (p *Problem) ExtensibleCtx(ctx context.Context, db *relation.Database) (boo
 // forEachSingleTupleExtension enumerates every partially closed
 // extension I ∪ {t} of db with t a fresh tuple over the active domain
 // (respecting finite attribute domains).
-func (p *Problem) forEachSingleTupleExtension(ctx context.Context, db *relation.Database, d *domains,
+func (p *call) forEachSingleTupleExtension(ctx context.Context, db *relation.Database, d *domains,
 	fn func(ext *relation.Database, rel string, t relation.Tuple) (bool, error)) error {
 	for _, r := range p.Schema.Relations() {
 		cont, err := p.latticeOver(ctx, r, d, func(t relation.Tuple) (bool, error) {
 			if db.Relation(r.Name).Contains(t) {
 				return true, nil
 			}
-			p.Options.Obs.Inc(obs.ExtensionsTested)
+			p.m.Inc(obs.ExtensionsTested)
 			ext := db.WithTuple(r.Name, t)
 			ok, err := p.satisfiesCCs(ctx, ext)
 			if err != nil {

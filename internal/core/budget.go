@@ -1,10 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"relcomplete/internal/obs"
-)
+import "fmt"
 
 // BudgetError reports that a decider stopped because a configured
 // resource cap ran out, carrying enough detail to act on: which
@@ -42,15 +38,15 @@ func (e *BudgetError) Error() string {
 // Unwrap exposes the sentinel for errors.Is.
 func (e *BudgetError) Unwrap() error { return e.sentinel }
 
-// budgetErr builds a BudgetError around ErrBudget and counts it.
+// budgetErr builds a BudgetError around ErrBudget. It is counted only
+// if a decider returns it (call.end): a parallel search may build one
+// per worker and return just one.
 func (p *Problem) budgetErr(op, cap string, limit, consumed int64) error {
-	p.Options.Obs.Inc(obs.BudgetErrors)
 	return &BudgetError{Op: op, Cap: cap, Limit: limit, Consumed: consumed, sentinel: ErrBudget}
 }
 
 // inconclusiveErr builds a BudgetError around ErrInconclusive (the
-// bounded RCQP search exhausted its size bound) and counts it.
+// bounded RCQP search exhausted its size bound), counted like budgetErr.
 func (p *Problem) inconclusiveErr(op, cap string, limit, consumed int64) error {
-	p.Options.Obs.Inc(obs.BudgetErrors)
 	return &BudgetError{Op: op, Cap: cap, Limit: limit, Consumed: consumed, sentinel: ErrInconclusive}
 }

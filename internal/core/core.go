@@ -221,7 +221,8 @@ type Options struct {
 	// plan and index statistics, search engine activity and per-phase
 	// timings. nil (the default) disables collection; every
 	// instrumentation site is nil-safe and the disabled path costs a
-	// single pointer test.
+	// single pointer test. A call whose context carries a request
+	// ledger (obs.ContextWithLedger) counts into the ledger instead.
 	Obs *obs.Metrics
 	// Trace receives structured decision events (candidate valuations,
 	// CC violations, counterexamples, verdicts) rendering the decider's
@@ -300,9 +301,10 @@ type Problem struct {
 
 	// profiles aggregates sampled per-node wall-time profiles of the
 	// plans this problem executes (eval/profile.go). Profiling rides the
-	// observability switch: it is armed only while Options.Obs is set,
-	// so the uninstrumented path never touches it. The zero value is
-	// ready; read through PlanProfiles.
+	// observability switch: it is armed only while a call has metrics
+	// (Options.Obs or a request ledger), so the uninstrumented path
+	// never touches it. The zero value is ready; read through
+	// PlanProfiles.
 	profiles eval.ProfileRegistry
 }
 
@@ -364,11 +366,68 @@ func MustProblem(schema *relation.DBSchema, q Qry, master *relation.Database, cc
 	return p
 }
 
+// call is one public decider call's view of its Problem. A Problem is
+// shared by every caller that decides it — its caches and locks span
+// calls, so it is never copied per call — and the per-call state rides
+// beside it: m is the metrics sink the call counts into, resolved once
+// at the public ...Ctx boundary (begin) and read directly by every
+// counter, phase, histogram and eval/search/cc option below it, so no
+// hot loop consults the context for it. Methods on call keep the
+// receiver name p: a call is the Problem as one call sees it.
+type call struct {
+	*Problem
+	m *obs.Metrics
+}
+
+// begin opens one public decider call: its metrics are the request
+// ledger the context carries, else Options.Obs.
+func (p *Problem) begin(ctx context.Context) *call {
+	m := obs.LedgerFromContext(ctx)
+	if m == nil {
+		m = p.Options.Obs
+	}
+	return &call{Problem: p, m: m}
+}
+
+// end counts the call's outcome once, at the public boundary: a
+// returned BudgetError or DeadlineError. Errors built inside a parallel
+// search and then dropped (a losing worker's budget hit, a nested
+// probe's abort) never reach here, so the counts are the same at every
+// worker count.
+func (p *call) end(ctx context.Context, err error) error {
+	if err == nil {
+		return nil
+	}
+	var be *BudgetError
+	if errors.As(err, &be) {
+		p.m.Inc(obs.BudgetErrors)
+	}
+	var de *DeadlineError
+	if errors.As(err, &de) {
+		p.m.Inc(obs.DeadlineErrors)
+		if dl, ok := ctx.Deadline(); ok {
+			if late := time.Since(dl); late > 0 {
+				p.m.ObserveDuration(obs.CancelLatencyNs, late)
+			}
+		}
+	}
+	return err
+}
+
+// countCounterexample counts a counterexample a public decider returns.
+// Probes that find one in a search the decider then discards (a losing
+// parallel worker, a minimality check's removals) are not counted.
+func (p *call) countCounterexample(cex *Counterexample) {
+	if cex != nil {
+		p.m.Inc(obs.CounterexamplesFound)
+	}
+}
+
 // evalOpts builds the evaluation options used throughout.
-func (p *Problem) evalOpts() eval.Options {
+func (p *call) evalOpts() eval.Options {
 	o := eval.Options{MaxDerived: p.Options.MaxDerived, NaiveJoin: p.Options.NaiveJoin,
-		Obs: p.Options.Obs, Fault: p.Options.FaultPlan}
-	if p.Options.Obs != nil {
+		Obs: p.m, Fault: p.Options.FaultPlan}
+	if p.m != nil {
 		if p.Options.Profiles != nil {
 			o.Profiles = p.Options.Profiles
 		} else {
@@ -381,7 +440,7 @@ func (p *Problem) evalOpts() eval.Options {
 // PlanProfiles exposes the problem's sampled plan-profile registry for
 // the /debug/plans endpoints — the Options.Profiles override when set,
 // the problem's own otherwise. Never nil; it only accumulates data
-// while Options.Obs is set (profiling rides the observability switch).
+// while calls have metrics (profiling rides the observability switch).
 func (p *Problem) PlanProfiles() *eval.ProfileRegistry {
 	if p.Options.Profiles != nil {
 		return p.Options.Profiles
@@ -394,7 +453,7 @@ func (p *Problem) PlanProfiles() *eval.ProfileRegistry {
 // single long evaluation (an FP fixpoint on a large model) instead of
 // waiting for it to finish. The Background fast path (no Done channel)
 // leaves the hook nil and costs nothing.
-func (p *Problem) evalOptsCtx(ctx context.Context) eval.Options {
+func (p *call) evalOptsCtx(ctx context.Context) eval.Options {
 	o := p.evalOpts()
 	if ctx != nil && ctx.Done() != nil {
 		o.Interrupt = ctx.Err
@@ -412,25 +471,26 @@ var nopSpan = func() {}
 // the candidate models it admitted/pruned land in the per-call
 // histograms, and — when Options.SlowOpThreshold is set — a call that
 // exceeds the threshold dumps the flight recorder and the histogram
-// snapshot to Options.SlowOpSink. When the context carries a request
+// snapshot of the call's metrics (the request ledger when there is
+// one) to Options.SlowOpSink. When the context carries a request
 // trace (obs.SpanFromContext), the call additionally becomes a child
 // span of it, and the returned context carries that child so eval and
 // search sub-spans nest under the phase; the slow-op dump then carries
-// the request's trace id. With Obs nil, no threshold and no active
+// the request's trace id. With no metrics, no threshold and no active
 // trace the returned closer is a shared no-op and ctx is returned
 // untouched, so the disabled path stays one context lookup plus one
 // branch (the overhead contract of BenchmarkObsOverhead).
-func (p *Problem) span(ctx context.Context, name string) (context.Context, func()) {
+func (p *call) span(ctx context.Context, name string) (context.Context, func()) {
 	o := &p.Options
+	m := p.m
 	sp := obs.SpanFromContext(ctx)
-	if o.Obs == nil && o.SlowOpThreshold <= 0 && sp == nil {
+	if m == nil && o.SlowOpThreshold <= 0 && sp == nil {
 		return ctx, nopSpan
 	}
 	child := sp.StartChild(name)
 	if child != nil {
 		ctx = obs.ContextWithSpan(ctx, child)
 	}
-	m := o.Obs
 	start := time.Now()
 	endPhase := m.StartPhase(name)
 	checked0 := m.Get(obs.ModelsChecked)
@@ -446,10 +506,11 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 		// so a tail-bucket spike in the OpenMetrics exposition carries
 		// an exemplar pointing at a request that caused it.
 		m.ObserveExemplar(obs.DeciderWallNs, elapsed.Nanoseconds(), traceID)
-		// Per-call admission distribution. Deltas over the shared
-		// counters: nested or concurrent decider calls may attribute
-		// each other's models — the histogram is a distribution sketch,
-		// not an exact ledger.
+		// Per-call admission distribution: deltas over the call's
+		// metrics. A nested decider call's models count toward its
+		// caller too. Under a request ledger the deltas are exact;
+		// concurrent callers sharing one Options.Obs without ledgers
+		// may attribute each other's models.
 		checked := m.Get(obs.ModelsChecked) - checked0
 		if checked > 0 {
 			admitted := m.Get(obs.ModelsAdmitted) - admitted0
@@ -476,7 +537,7 @@ func (p *Problem) span(ctx context.Context, name string) (context.Context, func(
 // caller then takes the generic eval path. Safe for concurrent use: the
 // deciders evaluate the same query on thousands of candidate databases
 // from worker goroutines, and compiling once is the point of plans.
-func (p *Problem) queryPlan() *eval.Plan {
+func (p *call) queryPlan() *eval.Plan {
 	if p.Options.NaiveJoin || p.Query.Calc == nil || !query.IsPositiveExistential(p.Query.Calc) {
 		return nil
 	}
@@ -486,16 +547,16 @@ func (p *Problem) queryPlan() *eval.Plan {
 		p.planTried = true
 		p.plan, _ = eval.Compile(p.Query.Calc) // nil on error: generic path
 		if p.plan != nil {
-			p.Options.Obs.Inc(obs.PlanCompilations)
+			p.m.Inc(obs.PlanCompilations)
 		}
 	} else if p.plan != nil {
-		p.Options.Obs.Inc(obs.PlanCacheHits)
+		p.m.Inc(obs.PlanCacheHits)
 	}
 	return p.plan
 }
 
 // answers evaluates the problem's query on a ground database.
-func (p *Problem) answers(ctx context.Context, db *relation.Database) ([]relation.Tuple, error) {
+func (p *call) answers(ctx context.Context, db *relation.Database) ([]relation.Tuple, error) {
 	if p.Query.Prog != nil {
 		return eval.FPAnswers(db, p.Query.Prog, p.evalOptsCtx(ctx))
 	}
@@ -506,7 +567,7 @@ func (p *Problem) answers(ctx context.Context, db *relation.Database) ([]relatio
 }
 
 // sameAnswers reports whether Q agrees on two databases.
-func (p *Problem) sameAnswers(ctx context.Context, db1, db2 *relation.Database) (bool, error) {
+func (p *call) sameAnswers(ctx context.Context, db1, db2 *relation.Database) (bool, error) {
 	a1, err := p.answers(ctx, db1)
 	if err != nil {
 		return false, err
@@ -752,8 +813,8 @@ func (p *Problem) adomFor(ci *ctable.CInstance, withQueryVars, withExtRow bool) 
 }
 
 // satisfiesCCs reports (I, Dm) ⊨ V.
-func (p *Problem) satisfiesCCs(ctx context.Context, db *relation.Database) (bool, error) {
-	m := p.Options.Obs
+func (p *call) satisfiesCCs(ctx context.Context, db *relation.Database) (bool, error) {
+	m := p.m
 	m.Inc(obs.CCChecks)
 	ok, err := p.CCs.Satisfied(db, p.Master, p.evalOptsCtx(ctx))
 	if err == nil && !ok {
@@ -766,7 +827,7 @@ func (p *Problem) satisfiesCCs(ctx context.Context, db *relation.Database) (bool
 // name the one that pruned db, emitting a cc_violation event. Only
 // done for verbose tracers; the extra evaluation is the price of the
 // diagnosis, and the always-on flight recorder must not pay it.
-func (p *Problem) traceCCViolation(ctx context.Context, db *relation.Database) {
+func (p *call) traceCCViolation(ctx context.Context, db *relation.Database) {
 	tr := p.Options.Trace
 	if !tr.Verbose() || p.CCs == nil {
 		return
@@ -784,11 +845,11 @@ func (p *Problem) traceCCViolation(ctx context.Context, db *relation.Database) {
 // c-instance: the same verdict, with the candidate-level counters and
 // decision-trace events attached. Every decider probe routes its
 // model admission through here.
-func (p *Problem) checkModel(ctx context.Context, db *relation.Database) (bool, error) {
+func (p *call) checkModel(ctx context.Context, db *relation.Database) (bool, error) {
 	if err := p.Options.FaultPlan.Visit(fault.SiteSearchWorker); err != nil {
 		return false, err
 	}
-	m := p.Options.Obs
+	m := p.m
 	tr := p.Options.Trace
 	m.Inc(obs.ModelsChecked)
 	ok, err := p.satisfiesCCs(ctx, db)

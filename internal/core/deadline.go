@@ -18,7 +18,7 @@ var ErrDeadline = errors.New("relcomplete: deadline exceeded before the decision
 // Progress is the work snapshot a DeadlineError carries: how far the
 // decision had gotten when the context fired, measured as deltas of
 // the obs counters over the cancelled call. All fields are zero when
-// the Problem has no Options.Obs attached.
+// the call has no metrics (no request ledger and no Options.Obs).
 type Progress struct {
 	// ModelsChecked and ModelsAdmitted count candidate models tested
 	// against the CCs and admitted by them; ModelsPruned is the
@@ -75,10 +75,12 @@ func (e *DeadlineError) Unwrap() []error { return []error{ErrDeadline, e.cause} 
 
 // progressNow reads the obs counters a DeadlineError snapshots. Taken
 // once at decider entry and once at abort; the delta is the cancelled
-// call's own work (approximately so under concurrent callers sharing
-// one Metrics, exactly so for the usual one-problem-one-call pattern).
-func (p *Problem) progressNow() Progress {
-	m := p.Options.Obs
+// call's own work — exactly, when the call counts into a request ledger
+// (obs.ContextWithLedger) or is the only caller of its metrics. Only
+// callers sharing one Options.Obs without ledgers see each other's
+// models in it.
+func (p *call) progressNow() Progress {
+	m := p.m
 	return Progress{
 		ModelsChecked:        m.Get(obs.ModelsChecked),
 		ModelsAdmitted:       m.Get(obs.ModelsAdmitted),
@@ -98,13 +100,13 @@ type opGuard struct {
 	partialFmt string // fmt verb %d receives Progress.ModelsChecked; "" for no partial
 	start      time.Time
 	base       Progress
-	p          *Problem
+	p          *call
 }
 
 // beginOp starts the guard for one decider call. It returns nil for
 // contexts that can never fire (Background and friends), keeping the
 // default path free of time.Now calls and counter reads.
-func (p *Problem) beginOp(ctx context.Context, op, partialFmt string) *opGuard {
+func (p *call) beginOp(ctx context.Context, op, partialFmt string) *opGuard {
 	if ctx.Done() == nil {
 		return nil
 	}
@@ -146,12 +148,6 @@ func (g *opGuard) wrap(err error) error {
 	partial := ""
 	if g.partialFmt != "" {
 		partial = fmt.Sprintf(g.partialFmt, delta.ModelsChecked)
-	}
-	g.p.Options.Obs.Inc(obs.DeadlineErrors)
-	if dl, ok := g.ctx.Deadline(); ok {
-		if late := time.Since(dl); late > 0 {
-			g.p.Options.Obs.ObserveDuration(obs.CancelLatencyNs, late)
-		}
 	}
 	cause := g.ctx.Err()
 	if cause == nil {

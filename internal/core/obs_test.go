@@ -2,10 +2,12 @@ package core
 
 import (
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 
+	"relcomplete/internal/ctable"
 	"relcomplete/internal/obs"
 )
 
@@ -224,5 +226,45 @@ func TestBudgetErrorDetail(t *testing.T) {
 	}
 	if m.Snapshot().Counters["budget_errors"] == 0 {
 		t.Error("budget_errors counter not incremented")
+	}
+}
+
+// TestOutcomeCountersWorkerInvariant: outcome counters are counted once
+// per public decider call, at its boundary, so they read the same at
+// every worker count — however many parallel probes built a budget
+// error or found a counterexample that the search then discarded.
+func TestOutcomeCountersWorkerInvariant(t *testing.T) {
+	outcomes := []string{"budget_errors", "counterexamples_found", "deadline_errors"}
+	run := func(workers int) map[string]int64 {
+		got := map[string]int64{}
+		for _, tc := range []struct {
+			maxVal int
+			ci     func(s *boundedScenario) *ctable.CInstance
+		}{
+			{1, func(s *boundedScenario) *ctable.CInstance { return s.withVar("x", "y") }}, // budget error
+			{0, func(s *boundedScenario) *ctable.CInstance { return s.ground("1") }},       // counterexample
+			{0, func(s *boundedScenario) *ctable.CInstance { return s.withVar("x") }},      // counterexample
+		} {
+			s := newBoundedScenario(t, "1", "2", "3")
+			m := obs.NewMetrics()
+			s.p.Options.Obs = m
+			s.p.Options.Parallelism = workers
+			s.p.Options.MaxValuations = tc.maxVal
+			s.p.RCDPExplain(tc.ci(s), Strong)
+			s.p.MINP(tc.ci(s), Strong)
+			for _, name := range outcomes {
+				got[name] += m.Snapshot().Counters[name]
+			}
+		}
+		return got
+	}
+	seq := run(1)
+	if seq["budget_errors"] != 2 || seq["counterexamples_found"] != 2 {
+		t.Fatalf("workers=1 outcomes %v, want 2 budget errors (RCDP, MINP) and 2 counterexamples (RCDP only)", seq)
+	}
+	for _, w := range []int{2, 8} {
+		if par := run(w); !reflect.DeepEqual(par, seq) {
+			t.Errorf("workers=%d outcomes %v, workers=1 %v", w, par, seq)
+		}
 	}
 }

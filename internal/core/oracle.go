@@ -32,6 +32,13 @@ func (p *Problem) ReferenceGroundComplete(db *relation.Database, extra int) (boo
 // ReferenceGroundCompleteCtx is ReferenceGroundComplete honoring the
 // context's deadline.
 func (p *Problem) ReferenceGroundCompleteCtx(ctx context.Context, db *relation.Database, extra int) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.referenceGroundComplete(ctx, db, extra)
+	return ok, c.end(ctx, err)
+}
+
+// referenceGroundComplete is ReferenceGroundCompleteCtx run under the call's resolved metrics.
+func (p *call) referenceGroundComplete(ctx context.Context, db *relation.Database, extra int) (bool, error) {
 	g := p.beginOp(ctx, "reference_ground_complete", "no counterexample found in %d models")
 	closed, err := p.satisfiesCCs(ctx, db)
 	if err != nil {
@@ -120,6 +127,13 @@ func (p *Problem) ReferenceRCDP(ci *ctable.CInstance, m Model, extra int) (bool,
 
 // ReferenceRCDPCtx is ReferenceRCDP honoring the context's deadline.
 func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m Model, extra int) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.referenceRCDP(ctx, ci, m, extra)
+	return ok, c.end(ctx, err)
+}
+
+// referenceRCDP is ReferenceRCDPCtx run under the call's resolved metrics.
+func (p *call) referenceRCDP(ctx context.Context, ci *ctable.CInstance, m Model, extra int) (bool, error) {
 	g := p.beginOp(ctx, "reference_rcdp_"+m.String(), "verdict undecided after %d models")
 	d, err := p.domainsFor(ci, p.Query.Calc != nil && p.Query.Lang() != FO, true)
 	if err != nil {
@@ -137,7 +151,7 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 			return struct{}{}, false, err
 		}
 		any.Store(true)
-		complete, err := p.ReferenceGroundCompleteCtx(ctx, db, extra)
+		complete, err := p.referenceGroundComplete(ctx, db, extra)
 		if err != nil {
 			return struct{}{}, false, err
 		}
@@ -146,7 +160,7 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 		}
 		return struct{}{}, complete, nil // hit = witness
 	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, g.wrap(err)
@@ -169,7 +183,7 @@ func (p *Problem) ReferenceRCDPCtx(ctx context.Context, ci *ctable.CInstance, m 
 // the worker pool; each produces the model's answers and its local
 // extension-answer intersection, merged in enumeration order so the
 // reference stays bit-deterministic.
-func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstance, extra int) (bool, error) {
+func (p *call) referenceWeakComplete(ctx context.Context, ci *ctable.CInstance, extra int) (bool, error) {
 	dom, err := p.domainsFor(ci, false, true)
 	if err != nil {
 		return false, err
@@ -252,7 +266,7 @@ func (p *Problem) referenceWeakComplete(ctx context.Context, ci *ctable.CInstanc
 		return s, nil
 	}
 	var genErr error
-	_, err = search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
+	_, err = search.ForEachOrdered(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, dom, &genErr), probe,
 		func(idx int, s modelSweep) (bool, error) {
 			if !s.isModel {

@@ -79,7 +79,7 @@ func TestPropertyCertainAnswersSoundness(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, db := range models {
-			ans, err := rp.p.answers(context.Background(), db)
+			ans, err := rp.p.begin(context.Background()).answers(context.Background(), db)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -193,9 +193,10 @@ func TestPropertyCompleteSurvivesCompleteExtension(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		err = rp.p.forEachSingleTupleExtension(context.Background(), db, d,
+		c := rp.p.begin(context.Background())
+		err = c.forEachSingleTupleExtension(context.Background(), db, d,
 			func(ext *relation.Database, rel string, tup relation.Tuple) (bool, error) {
-				same, err := rp.p.sameAnswers(context.Background(), db, ext)
+				same, err := c.sameAnswers(context.Background(), db, ext)
 				if err != nil {
 					return false, err
 				}

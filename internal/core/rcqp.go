@@ -28,7 +28,7 @@ import (
 //
 // FO and FP are undecidable (Theorem 4.5).
 
-func (p *Problem) rcqpStrongOrViable(ctx context.Context, m Model) (bool, error) {
+func (p *call) rcqpStrongOrViable(ctx context.Context, m Model) (bool, error) {
 	ctx, endSpan := p.span(ctx, "rcqp")
 	defer endSpan()
 	switch p.Query.Lang() {
@@ -56,7 +56,7 @@ func (p *Problem) allProjectionCCs() bool {
 // rcqpViaBoundedness decides RCQPs exactly when CCs are INDs:
 // RCQ(Q, Dm, V) is non-empty iff every disjunct of Q is bounded by
 // (Dm, V), or Q has no valid valuation over Adom consistent with V.
-func (p *Problem) rcqpViaBoundedness(ctx context.Context) (bool, error) {
+func (p *call) rcqpViaBoundedness(ctx context.Context) (bool, error) {
 	g := p.beginOp(ctx, "rcqp_boundedness", "")
 	bounded, err := p.QueryBounded()
 	if err != nil {
@@ -160,7 +160,7 @@ func (p *Problem) positionCoveredByIND(rel string, pos int) bool {
 // disjunct tableau over Adom yields a non-empty answer with
 // (µ(TQ), Dm) ⊨ V — a "valid valuation" in the terminology of
 // [Fan & Geerts 2009].
-func (p *Problem) querySatisfiableUnderCCs(ctx context.Context) (bool, error) {
+func (p *call) querySatisfiableUnderCCs(ctx context.Context) (bool, error) {
 	tabs, err := p.disjunctTableaux()
 	if err != nil {
 		return false, err
@@ -230,7 +230,7 @@ func (p *Problem) factsToDatabase(tab *query.Tableau, mu ctable.Valuation) (*rel
 // most Options.RCQPSizeBound whose values come from Adom extended with
 // a few anonymous fresh constants. Finding one proves RCQ non-empty
 // (Lemma 4.4); exhausting the bound returns ErrInconclusive.
-func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
+func (p *call) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 	g := p.beginOp(ctx, "rcqp_search", "no witness found in %d models")
 	bound := p.Options.rcqpSizeBound()
 	builder := adom.NewBuilder().
@@ -341,7 +341,7 @@ func (p *Problem) rcqpBoundedSearch(ctx context.Context) (bool, error) {
 			ok, err := subtree(pctx, empty.WithTuple(lattice[first].Rel, lattice[first].Tuple), first+1, bound-1)
 			return struct{}{}, ok, err
 		}
-		_, found, err = search.FirstHit(ctx, p.Options.workers(), p.Options.Obs, gen, probe)
+		_, found, err = search.FirstHit(ctx, p.Options.workers(), p.m, gen, probe)
 		if err != nil {
 			return false, g.wrap(err)
 		}

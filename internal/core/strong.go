@@ -57,7 +57,15 @@ func (p *Problem) RCDPExplain(ci *ctable.CInstance, m Model) (bool, *Counterexam
 }
 
 // RCDPExplainCtx is RCDPExplain honoring the context's deadline.
-func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Model) (ok bool, cex *Counterexample, err error) {
+func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Model) (bool, *Counterexample, error) {
+	c := p.begin(ctx)
+	ok, cex, err := c.rcdpExplain(ctx, ci, m)
+	c.countCounterexample(cex)
+	return ok, cex, c.end(ctx, err)
+}
+
+// rcdpExplain is RCDPExplainCtx run under the call's resolved metrics.
+func (p *call) rcdpExplain(ctx context.Context, ci *ctable.CInstance, m Model) (ok bool, cex *Counterexample, err error) {
 	if tr := p.Options.Trace; tr.Enabled() {
 		pop := tr.Push("decide", obs.F("problem", "rcdp"), obs.F("model", m.String()), obs.F("query", p.Query.Name()))
 		defer func() {
@@ -86,7 +94,7 @@ func (p *Problem) RCDPExplainCtx(ctx context.Context, ci *ctable.CInstance, m Mo
 // are independent and fan out over Options.Parallelism workers; the
 // first-hit engine returns the counterexample of the lowest-index
 // failing model, which is exactly the one the sequential scan reports.
-func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
+func (p *call) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
 	ctx, endSpan := p.span(ctx, "rcdp_strong")
 	defer endSpan()
 	g := p.beginOp(ctx, "rcdp_strong", "no counterexample found in %d models")
@@ -115,7 +123,7 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *
 		}
 		return c, c != nil, nil
 	}
-	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	hit, found, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, nil, g.wrap(err)
@@ -146,7 +154,7 @@ func (p *Problem) rcdpStrong(ctx context.Context, ci *ctable.CInstance) (bool, *
 // the head do not influence the extension and are skipped. Full
 // closure of the assembled extension is still checked, so multi-tuple
 // CC violations are caught exactly.
-func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains) (*Counterexample, error) {
+func (p *call) boundedCounterexample(ctx context.Context, db *relation.Database, d *domains) (*Counterexample, error) {
 	baseAnswers, err := p.answers(ctx, db)
 	if err != nil {
 		return nil, err
@@ -173,7 +181,7 @@ func (p *Problem) boundedCounterexample(ctx context.Context, db *relation.Databa
 // atom, memoised per typing signature. Concurrent probes share the
 // cache: the first caller computes under cacheMu, later callers reuse
 // the cached slice (read-only by convention).
-func (p *Problem) atomCandidates(ctx context.Context, sig string, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
+func (p *call) atomCandidates(ctx context.Context, sig string, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
 	p.cacheMu.Lock()
 	defer p.cacheMu.Unlock()
 	if p.atomCandCache == nil {
@@ -198,7 +206,7 @@ func (p *Problem) atomCandidates(ctx context.Context, sig string, atom *query.At
 // memoised per tuple across atoms. Callers must hold cacheMu (it
 // reads and writes closureCache); the CC evaluation below never
 // touches a Problem cache, so the lock cannot recurse.
-func (p *Problem) atomClosedCandidates(ctx context.Context, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
+func (p *call) atomClosedCandidates(ctx context.Context, atom *query.Atom, d *domains) ([]relation.Tuple, error) {
 	r := p.Schema.Relation(atom.Rel)
 	pins := map[int]relation.Value{}
 	for i, t := range atom.Terms {
@@ -294,7 +302,7 @@ func adomSignature(a *adom.Adom) string {
 }
 
 // tableauCounterexample backtracks over one disjunct tableau's atoms.
-func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Database, tab *query.Tableau,
+func (p *call) tableauCounterexample(ctx context.Context, db *relation.Database, tab *query.Tableau,
 	d *domains, sig string, baseAnswers []relation.Tuple,
 	seenExt map[string]bool) (*Counterexample, error) {
 
@@ -371,7 +379,7 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 			return p.budgetErr("bounded check", "MaxValuations",
 				int64(p.Options.MaxValuations), int64(tried))
 		}
-		p.Options.Obs.Inc(obs.ExtensionsTested)
+		p.m.Inc(obs.ExtensionsTested)
 		ok, err := p.satisfiesCCs(ctx, ext)
 		if err != nil {
 			return err
@@ -390,7 +398,6 @@ func (p *Problem) tableauCounterexample(ctx context.Context, db *relation.Databa
 		gained := diffTuples(baseAnswers, extAnswers)
 		if len(gained) > 0 {
 			cex = &Counterexample{Model: db, Extension: ext, Gained: gained}
-			p.Options.Obs.Inc(obs.CounterexamplesFound)
 			if tr := p.Options.Trace; tr.Enabled() {
 				tr.Emit("counterexample",
 					obs.F("model", db.String()),
@@ -478,6 +485,14 @@ func (p *Problem) GroundComplete(db *relation.Database) (bool, *Counterexample, 
 
 // GroundCompleteCtx is GroundComplete honoring the context's deadline.
 func (p *Problem) GroundCompleteCtx(ctx context.Context, db *relation.Database) (bool, *Counterexample, error) {
+	c := p.begin(ctx)
+	ok, cex, err := c.groundComplete(ctx, db)
+	c.countCounterexample(cex)
+	return ok, cex, c.end(ctx, err)
+}
+
+// groundComplete is GroundCompleteCtx run under the call's resolved metrics.
+func (p *call) groundComplete(ctx context.Context, db *relation.Database) (bool, *Counterexample, error) {
 	ctx, endSpan := p.span(ctx, "ground_complete")
 	defer endSpan()
 	g := p.beginOp(ctx, "ground_complete", "no counterexample found in %d models")
@@ -512,6 +527,13 @@ func (p *Problem) MINP(ci *ctable.CInstance, m Model) (bool, error) {
 // MINPCtx is MINP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
 func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.minp(ctx, ci, m)
+	return ok, c.end(ctx, err)
+}
+
+// minp is MINPCtx run under the call's resolved metrics.
+func (p *call) minp(ctx context.Context, ci *ctable.CInstance, m Model) (bool, error) {
 	switch m {
 	case Strong:
 		return p.minpStrong(ctx, ci)
@@ -526,7 +548,7 @@ func (p *Problem) MINPCtx(ctx context.Context, ci *ctable.CInstance, m Model) (b
 // strongly complete iff T ∈ RCQs and every I ∈ ModAdom(T) is a minimal
 // complete ground instance — by Lemma 4.7(b) it suffices to check that
 // no single-tuple removal of I stays complete.
-func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	ctx, endSpan := p.span(ctx, "minp_strong")
 	defer endSpan()
 	g := p.beginOp(ctx, "minp_strong", "no non-minimal model found in %d models")
@@ -556,7 +578,7 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, e
 		nonMin, err := p.hasCompleteRemoval(ctx, db, d)
 		return struct{}{}, nonMin, err
 	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, g.wrap(err)
@@ -570,7 +592,7 @@ func (p *Problem) minpStrong(ctx context.Context, ci *ctable.CInstance) (bool, e
 // hasCompleteRemoval reports whether some I \ {t} is still complete
 // (Lemma 4.7(b): I \ {t} remains partially closed automatically). The
 // context is consulted per removal candidate.
-func (p *Problem) hasCompleteRemoval(ctx context.Context, db *relation.Database, d *domains) (bool, error) {
+func (p *call) hasCompleteRemoval(ctx context.Context, db *relation.Database, d *domains) (bool, error) {
 	for _, loc := range db.AllTuples() {
 		if err := ctx.Err(); err != nil {
 			return false, err
@@ -595,8 +617,15 @@ func (p *Problem) GroundMinimal(db *relation.Database) (bool, error) {
 
 // GroundMinimalCtx is GroundMinimal honoring the context's deadline.
 func (p *Problem) GroundMinimalCtx(ctx context.Context, db *relation.Database) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.groundMinimal(ctx, db)
+	return ok, c.end(ctx, err)
+}
+
+// groundMinimal is GroundMinimalCtx run under the call's resolved metrics.
+func (p *call) groundMinimal(ctx context.Context, db *relation.Database) (bool, error) {
 	g := p.beginOp(ctx, "ground_minimal", "no complete removal found in %d models")
-	complete, _, err := p.GroundCompleteCtx(ctx, db)
+	complete, _, err := p.groundComplete(ctx, db)
 	if err != nil {
 		return false, err
 	}

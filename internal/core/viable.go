@@ -26,7 +26,7 @@ import (
 // the highest-index one is what the sequential scan ends on, and the
 // failure path probes every model in either schedule, so the choice is
 // deterministic).
-func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
+func (p *call) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *Counterexample, error) {
 	ctx, endSpan := p.span(ctx, "rcdp_viable")
 	defer endSpan()
 	g := p.beginOp(ctx, "rcdp_viable", "no complete model found in %d models")
@@ -66,7 +66,7 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *
 		mu.Unlock()
 		return struct{}{}, false, nil
 	}
-	_, viable, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	_, viable, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, nil, g.wrap(err)
@@ -86,7 +86,7 @@ func (p *Problem) rcdpViable(ctx context.Context, ci *ctable.CInstance) (bool, *
 // minpViable implements Corollary 6.3: T is a minimal viably complete
 // c-instance iff some I ∈ ModAdom(T) is a minimal complete ground
 // instance.
-func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) minpViable(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	ctx, endSpan := p.span(ctx, "minp_viable")
 	defer endSpan()
 	g := p.beginOp(ctx, "minp_viable", "no minimal complete model found in %d models")
@@ -122,7 +122,7 @@ func (p *Problem) minpViable(ctx context.Context, ci *ctable.CInstance) (bool, e
 		}
 		return struct{}{}, !nonMin, nil
 	}
-	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.Options.Obs,
+	_, found, err := search.FirstHit(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe)
 	if err != nil {
 		return false, g.wrap(err)

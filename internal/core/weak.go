@@ -29,6 +29,13 @@ func (p *Problem) CertainAnswers(ci *ctable.CInstance) ([]relation.Tuple, error)
 // intersection is a superset of the certain answers, so no partial
 // result is returned.
 func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, error) {
+	c := p.begin(ctx)
+	ans, err := c.certainAnswers(ctx, ci)
+	return ans, c.end(ctx, err)
+}
+
+// certainAnswers is CertainAnswersCtx run under the call's resolved metrics.
+func (p *call) certainAnswers(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, error) {
 	ctx, endSpan := p.span(ctx, "certain_answers")
 	defer endSpan()
 	g := p.beginOp(ctx, "certain_answers", "intersection over %d models incomplete")
@@ -36,17 +43,17 @@ func (p *Problem) CertainAnswersCtx(ctx context.Context, ci *ctable.CInstance) (
 	if err != nil {
 		return nil, err
 	}
-	ans, err := p.certainAnswers(ctx, ci, d)
+	ans, err := p.foldCertainAnswers(ctx, ci, d)
 	return ans, g.wrap(err)
 }
 
-// certainAnswers intersects Q over the models. Query evaluation fans
+// foldCertainAnswers intersects Q over the models. Query evaluation fans
 // out over the workers; the results are folded into the intersection
 // strictly in enumeration order (search.ForEachOrdered), so the
 // accumulated slice — its order included — matches the sequential fold
 // bit for bit, and the early stop on an empty intersection fires at
 // the same model.
-func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *domains) ([]relation.Tuple, error) {
+func (p *call) foldCertainAnswers(ctx context.Context, ci *ctable.CInstance, d *domains) ([]relation.Tuple, error) {
 	type modelAnswers struct {
 		ans     []relation.Tuple
 		isModel bool
@@ -55,7 +62,7 @@ func (p *Problem) certainAnswers(ctx context.Context, ci *ctable.CInstance, d *d
 	universe := true
 	any := false
 	var genErr error
-	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
+	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr),
 		func(ctx context.Context, idx int, db *relation.Database) (modelAnswers, error) {
 			ok, err := p.checkModel(ctx, db)
@@ -109,6 +116,13 @@ func (p *Problem) CertainAnswersOfExtensions(ci *ctable.CInstance) ([]relation.T
 // CertainAnswersOfExtensionsCtx is CertainAnswersOfExtensions honoring
 // the context's deadline.
 func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, bool, error) {
+	c := p.begin(ctx)
+	ans, ok, err := c.certainAnswersOfExtensions(ctx, ci)
+	return ans, ok, c.end(ctx, err)
+}
+
+// certainAnswersOfExtensions is CertainAnswersOfExtensionsCtx run under the call's resolved metrics.
+func (p *call) certainAnswersOfExtensions(ctx context.Context, ci *ctable.CInstance) ([]relation.Tuple, bool, error) {
 	g := p.beginOp(ctx, "certain_answers_of_extensions", "intersection over %d models incomplete")
 	acc, _, anyExt, err := p.certainExtStream(ctx, ci, nil)
 	return acc, anyExt, g.wrap(err)
@@ -130,7 +144,7 @@ func (p *Problem) CertainAnswersOfExtensionsCtx(ctx context.Context, ci *ctable.
 // its interleaved early stops inspect the global accumulator after
 // every single extension, a schedule the parallel decomposition cannot
 // reproduce pair-for-pair (the verdicts still agree).
-func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) (
+func (p *call) certainExtStream(ctx context.Context, ci *ctable.CInstance, stopWithin map[string]bool) (
 	acc []relation.Tuple, contained bool, anyExt bool, err error) {
 	if !p.Query.Monotone() {
 		return nil, false, false, fmt.Errorf("certain answers of extensions for FO: %w", ErrUndecidable)
@@ -161,7 +175,7 @@ func (p *Problem) certainExtStream(ctx context.Context, ci *ctable.CInstance, st
 				if base.Relation(r.Name).Contains(t) {
 					return true, nil
 				}
-				p.Options.Obs.Inc(obs.ExtensionsTested)
+				p.m.Inc(obs.ExtensionsTested)
 				ext := base.WithTuple(r.Name, t)
 				closed, err := p.satisfiesCCs(ctx, ext)
 				if err != nil {
@@ -224,7 +238,7 @@ type modelExtScan struct {
 // order. Every local intersection contains the global one, so a local
 // early stop (local acc ⊆ stopWithin, or a local empty intersection)
 // already decides the global verdict.
-func (p *Problem) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance, d *domains, stopWithin map[string]bool) (
+func (p *call) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance, d *domains, stopWithin map[string]bool) (
 	acc []relation.Tuple, contained bool, anyExt bool, err error) {
 	universe := true
 	within := func() bool {
@@ -262,7 +276,7 @@ func (p *Problem) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance,
 				if base.Relation(r.Name).Contains(t) {
 					return true, nil
 				}
-				p.Options.Obs.Inc(obs.ExtensionsTested)
+				p.m.Inc(obs.ExtensionsTested)
 				ext := base.WithTuple(r.Name, t)
 				closed, err := p.satisfiesCCs(ctx, ext)
 				if err != nil {
@@ -301,7 +315,7 @@ func (p *Problem) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance,
 		return s, nil
 	}
 	var genErr error
-	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.Options.Obs,
+	stopped, err := search.ForEachOrdered(ctx, p.Options.workers(), p.m,
 		p.modelCandidates(ctx, ci, d, &genErr), probe,
 		func(idx int, s modelExtScan) (bool, error) {
 			if !s.isModel {
@@ -340,14 +354,14 @@ func (p *Problem) certainExtStreamPar(ctx context.Context, ci *ctable.CInstance,
 // (Lemma 5.2), or no extension exists at all. The certain answers over
 // Mod(T) are computed first so the extension stream can stop as soon
 // as containment is established.
-func (p *Problem) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) rcdpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	ctx, endSpan := p.span(ctx, "rcdp_weak")
 	defer endSpan()
 	g := p.beginOp(ctx, "rcdp_weak", "containment undecided after %d models")
 	if p.Query.Lang() == FO {
 		return false, fmt.Errorf("RCDP(FO), weak model: %w", ErrUndecidable)
 	}
-	certT, err := p.CertainAnswersCtx(ctx, ci) // ErrInconsistent when Mod(T) = ∅
+	certT, err := p.certainAnswers(ctx, ci) // ErrInconsistent when Mod(T) = ∅
 	if err != nil {
 		return false, err
 	}
@@ -389,6 +403,13 @@ func (p *Problem) RCQP(m Model) (bool, error) {
 // RCQPCtx is RCQP honoring the context's deadline and cancellation; an
 // abort surfaces as a *DeadlineError.
 func (p *Problem) RCQPCtx(ctx context.Context, m Model) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.rcqp(ctx, m)
+	return ok, c.end(ctx, err)
+}
+
+// rcqp is RCQPCtx run under the call's resolved metrics.
+func (p *call) rcqp(ctx context.Context, m Model) (bool, error) {
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -409,6 +430,13 @@ func (p *Problem) RCQPGround(m Model) (bool, error) {
 
 // RCQPGroundCtx is RCQPGround honoring the context's deadline.
 func (p *Problem) RCQPGroundCtx(ctx context.Context, m Model) (bool, error) {
+	c := p.begin(ctx)
+	ok, err := c.rcqpGround(ctx, m)
+	return ok, c.end(ctx, err)
+}
+
+// rcqpGround is RCQPGroundCtx run under the call's resolved metrics.
+func (p *call) rcqpGround(ctx context.Context, m Model) (bool, error) {
 	switch m {
 	case Weak:
 		if p.Query.Lang() == FO {
@@ -434,6 +462,13 @@ func (p *Problem) ConstructWeaklyComplete() (*relation.Database, error) {
 // ConstructWeaklyCompleteCtx is ConstructWeaklyComplete honoring the
 // context's deadline.
 func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (*relation.Database, error) {
+	c := p.begin(ctx)
+	db, err := c.constructWeaklyComplete(ctx)
+	return db, c.end(ctx, err)
+}
+
+// constructWeaklyComplete is ConstructWeaklyCompleteCtx run under the call's resolved metrics.
+func (p *call) constructWeaklyComplete(ctx context.Context) (*relation.Database, error) {
 	g := p.beginOp(ctx, "construct_weakly_complete", "")
 	if !p.Query.Monotone() {
 		return nil, fmt.Errorf("weakly complete witness for FO: %w", ErrUndecidable)
@@ -469,7 +504,7 @@ func (p *Problem) ConstructWeaklyCompleteCtx(ctx context.Context) (*relation.Dat
 // back to the generic algorithm (check T weakly complete, then check
 // that no proper row subset is), which matches the Πp4 upper bound for
 // UCQ/∃FO+ and coNEXPTIME for FP.
-func (p *Problem) minpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) minpWeak(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	ctx, endSpan := p.span(ctx, "minp_weak")
 	defer endSpan()
 	if p.Query.Lang() == FO {
@@ -484,7 +519,7 @@ func (p *Problem) minpWeak(ctx context.Context, ci *ctable.CInstance) (bool, err
 // minpWeakCQ is the Lemma 5.7 fast path: T is a minimal weakly complete
 // instance iff either T is empty and ∅ ∈ RCQw, or ∅ ∉ RCQw, |T| = 1 and
 // Mod(T) ≠ ∅.
-func (p *Problem) minpWeakCQ(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) minpWeakCQ(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	emptyCI := ctable.NewCInstance(p.Schema)
 	emptyComplete, err := p.rcdpWeak(ctx, emptyCI)
 	if err != nil {
@@ -496,12 +531,12 @@ func (p *Problem) minpWeakCQ(ctx context.Context, ci *ctable.CInstance) (bool, e
 	if emptyComplete || ci.Size() != 1 {
 		return false, nil
 	}
-	return p.ConsistentCtx(ctx, ci)
+	return p.consistent(ctx, ci)
 }
 
 // minpWeakGeneric checks T ∈ RCQw and that no proper sub-c-instance
 // (row subset) is weakly complete.
-func (p *Problem) minpWeakGeneric(ctx context.Context, ci *ctable.CInstance) (bool, error) {
+func (p *call) minpWeakGeneric(ctx context.Context, ci *ctable.CInstance) (bool, error) {
 	g := p.beginOp(ctx, "minp_weak", "non-minimality undecided after %d models")
 	complete, err := p.rcdpWeak(ctx, ci)
 	if err != nil {

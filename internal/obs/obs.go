@@ -13,6 +13,7 @@
 package obs
 
 import (
+	"context"
 	"encoding/json"
 	"sort"
 	"sync"
@@ -269,6 +270,22 @@ type Stats struct {
 // the JSON stays readable. A nil receiver yields an empty (but
 // non-nil-map) snapshot.
 func (m *Metrics) Snapshot() Stats {
+	s := m.Counts()
+	if m == nil {
+		return s
+	}
+	for h := Histo(0); h < numHistos; h++ {
+		if st, ok := m.histoStat(h); ok {
+			s.Histograms = append(s.Histograms, st)
+		}
+	}
+	return s
+}
+
+// Counts is Snapshot without the histograms: the non-zero counters and
+// the phase timings. It is the stats of one request ledger, where a
+// histogram of a single call says nothing its counters do not.
+func (m *Metrics) Counts() Stats {
 	s := Stats{Counters: map[string]int64{}}
 	if m == nil {
 		return s
@@ -276,11 +293,6 @@ func (m *Metrics) Snapshot() Stats {
 	for c := Counter(0); c < numCounters; c++ {
 		if v := m.counters[c].Load(); v != 0 {
 			s.Counters[c.String()] = v
-		}
-	}
-	for h := Histo(0); h < numHistos; h++ {
-		if st, ok := m.histoStat(h); ok {
-			s.Histograms = append(s.Histograms, st)
 		}
 	}
 	m.phaseMu.Lock()
@@ -311,4 +323,27 @@ func (m *Metrics) String() string {
 		return "{}"
 	}
 	return string(b)
+}
+
+type ledgerCtxKey struct{}
+
+// ContextWithLedger returns ctx carrying m as the request's cost
+// ledger: a fresh Metrics that the deciders run under ctx count into
+// instead of their problem's shared Options.Obs, so the request's
+// counters are its own whatever else runs beside it. The owner folds
+// the ledger into the shared metrics with Merge when the request ends.
+// A nil m returns ctx unchanged.
+func ContextWithLedger(ctx context.Context, m *Metrics) context.Context {
+	if m == nil {
+		return ctx
+	}
+	return context.WithValue(ctx, ledgerCtxKey{}, m)
+}
+
+// LedgerFromContext returns the request ledger ctx carries, or nil.
+// It walks the context chain, so callers resolve it once per call and
+// never inside a hot loop.
+func LedgerFromContext(ctx context.Context) *Metrics {
+	m, _ := ctx.Value(ledgerCtxKey{}).(*Metrics)
+	return m
 }

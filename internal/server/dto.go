@@ -55,8 +55,11 @@ func (r *DecideRequest) overridden() bool {
 
 // DecideResponse is the decide endpoint's JSON body — also used for
 // error answers, where Verdict stays null and Error/Kind carry the
-// typed failure. Stats is the server-cumulative solver snapshot (the
-// same obs.Stats object rcheck -json prints).
+// typed failure. Stats is this request's own cost ledger: the solver
+// counters and phase timings of its decider call alone, never other
+// requests' work and with no histograms (the same obs.Stats shape
+// rcheck -json prints). The process-global relation index counters
+// are not in it; they appear on /metrics only.
 type DecideResponse struct {
 	Problem        string `json:"problem"`
 	Property       string `json:"property"`

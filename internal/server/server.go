@@ -302,9 +302,7 @@ var nameRE = regexp.MustCompile(`^[A-Za-z0-9._-]{1,128}$`)
 func writeJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	json.NewEncoder(w).Encode(v)
 }
 
 func writeError(w http.ResponseWriter, status int, kind, msg string) {
@@ -437,14 +435,24 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	wantTrace := r.URL.Query().Get("trace") == "1"
 
 	resp := DecideResponse{Problem: name, TraceID: traceID}
+	// ledger is this request's cost ledger: the deciders count into it
+	// instead of the server-wide metrics, so the response's stats are
+	// exactly this decide's work; finish folds it into the server-wide
+	// metrics, which keeps /metrics totals and exemplars whole.
+	ledger := obs.NewMetrics()
 	var req DecideRequest
 	var queueWait, wall time.Duration
 	ran := false // a decider actually executed (wall is meaningful)
 
-	// finish is the single exit: per-tenant labelled metrics, the
-	// structured decision log, the /debug/requests ring record, the
-	// optional ?trace=1 span tree, and the response itself.
+	// finish is the single exit: the ledger's stats and fold, per-tenant
+	// labelled metrics, the structured decision log, the
+	// /debug/requests ring record, the optional ?trace=1 span tree, and
+	// the response itself.
 	finish := func(status int) {
+		resp.Stats = ledger.Counts()
+		if ran {
+			s.metrics.Merge(ledger)
+		}
 		decider := req.Property
 		if resp.Model != "" {
 			decider += "_" + resp.Model
@@ -511,7 +519,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	fail := func(status int, kind string, err error) {
 		resp.Kind = kind
 		resp.decorate(err)
-		resp.Stats = s.metrics.Snapshot()
 		finish(status)
 	}
 
@@ -569,7 +576,7 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 		"decider", req.Property,
 		"trace_id", traceID,
 	), func(ctx context.Context) {
-		result, err = s.runDecide(ctx, e, &req)
+		result, err = s.runDecide(obs.ContextWithLedger(ctx, ledger), e, &req)
 	})
 	wall = time.Since(start)
 	ran = true
@@ -589,7 +596,6 @@ func (s *Server) handleDecide(w http.ResponseWriter, r *http.Request) {
 	resp.Verdict = result.Verdict
 	resp.Counterexample = result.Counterexample
 	resp.CertainAnswers = result.CertainAnswers
-	resp.Stats = s.metrics.Snapshot()
 	finish(http.StatusOK)
 }
 
@@ -657,14 +663,6 @@ func (s *Server) runDecide(ctx context.Context, e *Entry, req *DecideRequest) (r
 		if err != nil {
 			return res, &badRequestError{msg: err.Error()}
 		}
-		// The rebuilt problem is private to this request, so it can
-		// carry a per-request metrics instance; the counters it gathers
-		// are folded into the server-wide set when the decide returns.
-		// (The shared resident path keeps writing the server-wide
-		// metrics directly — its Options must not be touched.)
-		reqM := obs.NewMetrics()
-		p.Options.Obs = reqM
-		defer s.metrics.Merge(reqM)
 	}
 
 	timeout := s.cfg.DefaultTimeout

@@ -130,7 +130,8 @@ func TestPutRejectsBadInput(t *testing.T) {
 
 // The decide round trip: decode → decide → encode, verdicts matching
 // the engine's own (see the probe oracle values asserted below), with
-// the stats object carried along like rcheck -json.
+// the request's own stats carried along like rcheck -json: its
+// decider's phase, and its models when the decider enumerates any.
 func TestDecideRoundTrip(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 	putOrders(t, ts.URL, "orders")
@@ -138,12 +139,16 @@ func TestDecideRoundTrip(t *testing.T) {
 	cases := []struct {
 		req     DecideRequest
 		verdict bool
+		phase   string
+		models  bool // the decider enumerates candidate models
 	}{
-		{DecideRequest{Property: "rcdp", Model: "strong"}, false},
-		{DecideRequest{Property: "rcdp", Model: "weak"}, false},
-		{DecideRequest{Property: "consistency"}, true},
-		{DecideRequest{Property: "minp", Model: "strong"}, false},
-		{DecideRequest{Property: "rcqp", Model: "strong"}, true},
+		{DecideRequest{Property: "rcdp", Model: "strong"}, false, "rcdp_strong", true},
+		{DecideRequest{Property: "rcdp", Model: "weak"}, false, "rcdp_weak", true},
+		{DecideRequest{Property: "consistency"}, true, "consistency", true},
+		{DecideRequest{Property: "minp", Model: "strong"}, false, "minp_strong", true},
+		// The IND-only CCs decide RCQP by the boundedness test alone,
+		// with no model enumerated.
+		{DecideRequest{Property: "rcqp", Model: "strong"}, true, "rcqp", false},
 	}
 	for _, c := range cases {
 		resp, dr := decide(t, ts.URL, "orders", c.req)
@@ -156,8 +161,15 @@ func TestDecideRoundTrip(t *testing.T) {
 		if dr.Problem != "orders" || dr.Property != c.req.Property {
 			t.Fatalf("%+v: echo fields wrong: %+v", c.req, dr)
 		}
-		if dr.Stats.Counters["models_checked"] == 0 {
-			t.Fatalf("%+v: stats missing solver counters", c.req)
+		if got := dr.Stats.Counters["models_checked"]; (got > 0) != c.models {
+			t.Fatalf("%+v: stats models_checked=%d, want models=%v", c.req, got, c.models)
+		}
+		ran := false
+		for _, ph := range dr.Stats.Phases {
+			ran = ran || (ph.Name == c.phase && ph.Count == 1)
+		}
+		if !ran {
+			t.Fatalf("%+v: stats phases %+v lack one %s call", c.req, dr.Stats.Phases, c.phase)
 		}
 	}
 
